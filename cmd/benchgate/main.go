@@ -19,8 +19,9 @@
 // silently vanished benchmark would otherwise un-gate itself.
 //
 // In the spirit of CounterPoint's counter-based refutation of performance
-// assumptions, the point is that BENCH_*.json speedup claims are
-// machine-checked on every push rather than asserted in prose. The
+// assumptions, the point is that speedup claims are machine-checked on
+// every push rather than asserted in prose (the end-to-end benchmark is
+// perfbench/, declared in BENCHMARK.json). The
 // committed baseline is re-recorded (same commands, see
 // .github/workflows/ci.yml) whenever the hardware class or a deliberate
 // perf change moves the floor.

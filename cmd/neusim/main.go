@@ -66,7 +66,7 @@ func main() {
 		tileCap   = flag.Int("tile-cap", 0, "cap simulated tiles per layer instance (0 = all)")
 		effort    = flag.String("effort", "", "effort mode: exact, sampled, or quick (sweep mode); empty = exact")
 		targetCI  = flag.Float64("target-ci", 0, "sampled: target relative 95% CI half-width (0 = default 0.05)")
-		intraWork = flag.Int("intra-cell-workers", 0, "epoch-parallel workers inside each cell (0 = off; result bytes are identical at every count >= 1)")
+		intraWork = flag.Int("intra-cell-workers", 0, "epoch-engine workers inside each cell (0 = monolithic engine; >= 1 switches to the epoch engine, whose answers differ from it, and are byte-identical at every count >= 1)")
 		useSpat   = flag.Bool("spatial", false, "use the spatial-array compute model instead of systolic")
 		compare   = flag.Bool("oracle-baseline", true, "also run the oracle and report normalized performance")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of text")

@@ -15,8 +15,8 @@ import (
 // planning, worker dispatch over HTTP, NDJSON merge — against a 2-worker
 // fleet, cold (every cell simulates on its worker) versus warm (every
 // cell answers from its worker's content-addressed cache). The warm
-// number is the coordinator's routing+merge overhead ceiling; results
-// are recorded in BENCH_cluster.json.
+// number is the coordinator's routing+merge overhead ceiling. CI gates it
+// against bench/baseline.txt; the end-to-end benchmark is perfbench/.
 func BenchmarkClusterSweep(b *testing.B) {
 	const payload = testSweep // 8 cells
 	const cellsPerRequest = 8

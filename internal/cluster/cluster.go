@@ -32,21 +32,29 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"neummu/internal/counters"
 	"neummu/internal/exp"
 	"neummu/internal/serve"
-	"neummu/internal/stats"
 	"neummu/internal/trace"
 )
 
+// fleetError is a cluster error whose class — one of serve's sentinel
+// errors, reached through errors.Is — tells the shared front end which
+// envelope answers it, while its message stays the cluster's own.
+type fleetError struct {
+	msg   string
+	class error
+}
+
+func (e *fleetError) Error() string { return e.msg }
+func (e *fleetError) Unwrap() error { return e.class }
+
 // ErrNoWorkers is returned (as a 503) when no healthy worker remains to
 // route a shard to.
-var ErrNoWorkers = errors.New("cluster: no healthy workers")
+var ErrNoWorkers error = &fleetError{"cluster: no healthy workers", serve.ErrUnavailable}
 
 // ErrWorkerOverloaded is returned (as a 429) when a worker answered a
 // shard with its admission-control pushback. Unlike a transport failure
@@ -55,7 +63,7 @@ var ErrNoWorkers = errors.New("cluster: no healthy workers")
 // fleet would cascade one hot spot into a fleet-wide brownout. The 429
 // (with Retry-After) bubbles up to the client, preserving the single
 // process's backpressure contract through the coordinator.
-var ErrWorkerOverloaded = errors.New("cluster: worker overloaded")
+var ErrWorkerOverloaded error = &fleetError{"cluster: worker overloaded", serve.ErrOverloaded}
 
 // Config tunes a Coordinator.
 type Config struct {
@@ -132,32 +140,24 @@ func (c Config) normalized() Config {
 // Coordinator fans sweeps out over a worker fleet. Create with New,
 // mount as an http.Handler, and Close when done.
 //
-// Endpoints: GET /healthz, GET /metrics, POST /v1/sweep, POST /v1/sim,
-// and POST /v1/cells (so one coordinator can serve another coordinator —
-// or the exp remote backend — exactly like a worker would).
+// Endpoints: the shared serve front end (GET /healthz, GET /debug/traces,
+// POST /v1/sweep, POST /v1/sim, and POST /v1/cells — so one coordinator
+// can serve another coordinator, or the exp remote backend, exactly like
+// a worker would) over the coordinator's remote cell source, plus its
+// own GET /metrics.
 type Coordinator struct {
 	cfg  Config
 	ring *ring
 	pool *pool
-	mux  *http.ServeMux
+	fe   *serve.Frontend
 
 	start        time.Time
-	requests     atomic.Int64
-	sweeps       atomic.Int64
-	cellsServed  atomic.Int64
 	reroutes     atomic.Int64
 	noWorkers    atomic.Int64
 	journalCells atomic.Int64 // cells answered from a sweep journal
 	resumes      atomic.Int64 // sweeps that found journaled progress
-	sweepLatency *stats.Latency
 	tracer       *trace.Tracer
 	logger       *slog.Logger
-
-	// harnesses memoizes one expansion harness per effort through the
-	// serving layer's shared cache (Workers: 1 — the coordinator expands
-	// grids and normalizes caps but never simulates), so coordinator and
-	// worker can never diverge on what selects a harness.
-	harnesses *serve.HarnessCache
 }
 
 // New returns a coordinator for the given worker fleet. The health
@@ -190,26 +190,17 @@ func New(cfg Config) (*Coordinator, error) {
 		traceCfg.Logger = logger
 	}
 	c := &Coordinator{
-		cfg:          cfg,
-		ring:         newRing(cfg.Workers, cfg.Replicas),
-		pool:         newPool(cfg.Workers, cfg.Client, cfg.HealthInterval),
-		start:        time.Now(),
-		sweepLatency: stats.NewLatency(0),
-		tracer:       trace.NewTracer(traceCfg),
-		logger:       logger,
-		harnesses:    serve.NewHarnessCache(1),
+		cfg:    cfg,
+		ring:   newRing(cfg.Workers, cfg.Replicas),
+		pool:   newPool(cfg.Workers, cfg.Client, cfg.HealthInterval),
+		start:  time.Now(),
+		tracer: trace.NewTracer(traceCfg),
+		logger: logger,
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", c.tracer.HandleList)
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		c.tracer.HandleByID(w, r, r.PathValue("id"))
-	})
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	mux.HandleFunc("POST /v1/sim", c.handleSim)
-	mux.HandleFunc("POST /v1/cells", c.handleCells)
-	c.mux = mux
+	// Expansion harnesses run on one worker: the coordinator expands grids
+	// and normalizes efforts but never simulates.
+	c.fe = serve.NewFrontend(remote{c}, serve.NewHarnessCache(1), cfg.MaxCellsPerRequest, c.tracer, logger)
+	c.fe.HandleFunc("GET /metrics", c.handleMetrics)
 	return c, nil
 }
 
@@ -218,10 +209,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Tracer() *trace.Tracer { return c.tracer }
 
 // ServeHTTP implements http.Handler.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	c.mux.ServeHTTP(w, r)
-}
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.fe.ServeHTTP(w, r) }
 
 // Close stops the health checker. In-flight dispatches are bounded by
 // their own contexts and need no draining here.
@@ -232,13 +220,9 @@ func (c *Coordinator) Close() { c.pool.close() }
 // after the failed one has stopped touching them), so done is closed
 // exactly once and the fields are published by that close.
 type slot struct {
-	done                 chan struct{}
-	cycles, translations int64
-	perf                 float64
-	counters             counters.Bundle
-	sampled              *serve.SampleJSON
-	hit                  bool
-	err                  error
+	done chan struct{}
+	line serve.CellLine // the result (Err unset)
+	err  error
 	// attempts counts dispatches that have carried this cell; bounded by
 	// MaxRetries. Only the owning dispatch chain touches it.
 	attempts int
@@ -252,6 +236,54 @@ func (s *slot) fail(err error) {
 	s.err = err
 	close(s.done)
 }
+
+// remote is the Coordinator's CellSource: the hash ring, worker dispatch,
+// re-routing and the sweep journal.
+type remote struct{ *Coordinator }
+
+// Resolve shards the job's cells over the fleet. A /v1/sweep job resumes
+// from (and appends to) its sweep journal when checkpointing is on;
+// journaling is best-effort — an unwritable journal directory degrades
+// to a journal-less sweep, never to a failed one.
+func (c remote) Resolve(ctx context.Context, job serve.Job) (serve.Pending, error) {
+	var jr *journal
+	var journaled map[int]serve.CellLine
+	if job.Sweep != nil && c.cfg.JournalDir != "" {
+		if j, done, err := openJournal(c.cfg.JournalDir, c.cfg.JournalKeep, *job.Sweep, len(job.Points)); err == nil {
+			jr, journaled = j, done
+			if len(done) > 0 {
+				c.resumes.Add(1)
+			}
+		}
+	}
+	slots, err := c.runCells(ctx, job.TraceID, job.Harness, job.Points, journaled, jr)
+	if err != nil {
+		jr.close()
+		return nil, err
+	}
+	return &shards{slots: slots, jr: jr}, nil
+}
+
+// shards is one request's cells on the remote source.
+type shards struct {
+	slots []*slot
+	jr    *journal
+}
+
+// Hits is unknown at admission: workers report hits per cell.
+func (p *shards) Hits() int { return -1 }
+
+func (p *shards) Wait(ctx context.Context, i int) (serve.CellLine, error) {
+	sl := p.slots[i]
+	select {
+	case <-sl.done:
+		return sl.line, sl.err
+	case <-ctx.Done():
+		return serve.CellLine{}, ctx.Err()
+	}
+}
+
+func (p *shards) Close() { p.jr.close() }
 
 // runCells shards the points across healthy workers by consistent hash
 // and dispatches each shard; slots resolve as worker lines stream back.
@@ -269,15 +301,13 @@ func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harne
 		slots[i] = &slot{done: make(chan struct{}), attempts: 1, firstDispatch: now}
 		if cl, ok := journaled[i]; ok {
 			sl := slots[i]
-			sl.cycles, sl.translations, sl.perf = cl.Cycles, cl.Translations, cl.Perf
-			sl.counters = cl.Counters
-			sl.sampled = cl.Sampled
-			sl.hit = true
-			close(sl.done)
+			cl.Hit = true
+			sl.line = cl
 			c.tracer.Record(trace.Span{
 				TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 				Start: now, Hit: true,
 			})
+			close(sl.done)
 			continue
 		}
 		remaining = append(remaining, i)
@@ -295,9 +325,8 @@ func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harne
 		c.noWorkers.Add(1)
 		return nil, err
 	}
-	eff := effortOf(h)
 	for url, idxs := range groups {
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff, jr)
+		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, jr)
 	}
 	return slots, nil
 }
@@ -305,7 +334,7 @@ func (c *Coordinator) runCells(ctx context.Context, traceID string, h *exp.Harne
 // plan groups point indices by ring owner among healthy workers. indices
 // nil means all points.
 func (c *Coordinator) plan(h *exp.Harness, points []exp.Point, indices []int) (map[string][]int, error) {
-	eff := serveEffort(h)
+	eff := h.Options().Effort
 	groups := make(map[string][]int)
 	assign := func(i int) error {
 		owner := c.ring.owner(serve.CellHash64(points[i], eff), c.pool.unhealthy)
@@ -331,45 +360,22 @@ func (c *Coordinator) plan(h *exp.Harness, points []exp.Point, indices []int) (m
 	return groups, nil
 }
 
-// serveEffort reconstructs the canonical serve-level effort from a
-// normalized harness — the value cell routing hashes key on.
-func serveEffort(h *exp.Harness) serve.Effort {
-	opts := h.Options()
-	return serve.Effort{
-		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-		Sampled:          opts.Effort.Sampled(),
-		TargetCI:         opts.Effort.TargetCI,
-		IntraCellWorkers: opts.Effort.IntraCellWorkers,
-	}
-}
-
-// effortOf extracts the wire effort knobs from a normalized harness: the
-// legacy flat fields always (so legacy-shaped work produces the exact
-// pre-redesign worker payload bytes), plus the effort object only when
-// the effort is epoch-structured and the flat fields cannot express it.
-func effortOf(h *exp.Harness) serve.CellsRequest {
-	opts := h.Options()
-	return serve.CellsRequest{
-		Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-		Effort: serveEffort(h).ToWireEffort(),
-	}
-}
-
 // dispatch sends one shard (the points at idxs) to a worker and resolves
 // each slot as its line streams back. On transport failure — connection
 // error, bad status, timeout, or a truncated stream — the cells not yet
 // resolved are re-routed to the remaining healthy workers; cells the
 // worker already answered keep their results. The trace ID rides the
 // X-Trace-Id header, so the worker's own spans land under the same trace.
+// Workers receive the harness's normalized effort.
 func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, url string, idxs []int, eff serve.CellsRequest, jr *journal) {
+	slots []*slot, url string, idxs []int, jr *journal) {
 	dispatchStart := time.Now()
 	w := c.pool.byURL[url]
 	w.shards.Add(1)
 	w.cells.Add(int64(len(idxs)))
 
-	req := eff
-	req.Points = make([]serve.WirePoint, len(idxs))
+	eff := h.Options().Effort
+	req := serve.CellsRequest{Effort: &eff, Points: make([]serve.WirePoint, len(idxs))}
 	for k, i := range idxs {
 		req.Points[k] = serve.ToWire(points[i])
 	}
@@ -398,7 +404,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		c.tracer.Record(trace.Span{
 			TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 			Start: sl.firstDispatch, TotalNS: st.Sum(), Stages: st,
-			Hit: sl.hit, Worker: url, Attempts: sl.attempts, Err: cellErr,
+			Hit: sl.line.Hit, Worker: url, Attempts: sl.attempts, Err: cellErr,
 		})
 	}
 
@@ -419,7 +425,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 				missing = append(missing, i)
 			}
 		}
-		c.reroute(ctx, traceID, h, points, slots, w, missing, cause, eff, jr)
+		c.reroute(ctx, traceID, h, points, slots, w, missing, cause, jr)
 	}
 
 	httpReq, err := http.NewRequestWithContext(shardCtx, "POST", url+"/v1/cells", bytes.NewReader(body))
@@ -465,28 +471,28 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 		}
 		resolved[line.I] = true
 		n++
-		sl := slots[idxs[line.I]]
+		// The span and the checkpoint are booked before the slot resolves,
+		// so a client that has read the cell's row finds both. Both are
+		// dispatch-goroutine work, never on the client-stream path.
+		i := idxs[line.I]
+		sl := slots[i]
 		if line.Err != "" {
 			w.cellErrs.Add(1)
+			cellSpan(i, sl, line.Err)
 			sl.fail(errors.New(line.Err))
-			cellSpan(idxs[line.I], sl, line.Err)
 			continue
 		}
 		w.completed.Add(1)
-		sl.cycles, sl.translations, sl.perf, sl.hit = line.Cycles, line.Translations, line.Perf, line.Hit
-		sl.counters = line.Counters
-		sl.sampled = line.Sampled
-		close(sl.done)
-		cellSpan(idxs[line.I], sl, "")
+		sl.line = line
+		cellSpan(i, sl, "")
 		if jr != nil {
-			// Checkpoint after resolving the slot: the append is dispatch-
-			// goroutine work, never on the client-stream path. I is
-			// rewritten to the global grid index the journal is keyed by.
+			// The journal is keyed by global grid index and omits hits.
 			jr.appendCell(serve.CellLine{
-				I: idxs[line.I], Cycles: line.Cycles, Translations: line.Translations,
+				I: i, Cycles: line.Cycles, Translations: line.Translations,
 				Perf: line.Perf, Counters: line.Counters, Sampled: line.Sampled,
 			})
 		}
+		close(sl.done)
 	}
 }
 
@@ -499,7 +505,7 @@ func (c *Coordinator) dispatch(ctx context.Context, traceID string, h *exp.Harne
 // it over, so a fleet dashboard can attribute re-route load to both sides
 // of the move.
 func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harness, points []exp.Point,
-	slots []*slot, w *workerState, missing []int, cause error, eff serve.CellsRequest, jr *journal) {
+	slots []*slot, w *workerState, missing []int, cause error, jr *journal) {
 	if len(missing) == 0 {
 		return
 	}
@@ -521,12 +527,12 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 		if slots[i].attempts > c.cfg.MaxRetries {
 			err := fmt.Errorf("%s: worker %s failed (%v) and retry budget is spent",
 				points[i].Label(), w.url, cause)
-			slots[i].fail(err)
 			c.tracer.Record(trace.Span{
 				TraceID: traceID, Kind: "cell", Name: points[i].Label(), Index: i,
 				Start: slots[i].firstDispatch, Worker: w.url,
 				Attempts: slots[i].attempts, Err: err.Error(),
 			})
+			slots[i].fail(err)
 			continue
 		}
 		slots[i].attempts++
@@ -545,280 +551,8 @@ func (c *Coordinator) reroute(ctx context.Context, traceID string, h *exp.Harnes
 	}
 	for url, idxs := range groups {
 		c.pool.byURL[url].adopted.Add(int64(len(idxs)))
-		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, eff, jr)
+		go c.dispatch(ctx, traceID, h, points, slots, url, idxs, jr)
 	}
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// reject maps routing errors to clean statuses in the uniform error
-// envelope: no healthy workers is a 503 unavailable (the fleet is down,
-// retrying later may help), worker overload is a 429 overloaded (the
-// single process's backpressure contract, passed through), anything else
-// a 500 internal.
-func (c *Coordinator) reject(w http.ResponseWriter, traceID string, err error) {
-	switch {
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "1")
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.ErrCodeUnavailable,
-			err.Error(), traceID)
-	case errors.Is(err, ErrWorkerOverloaded):
-		w.Header().Set("Retry-After", "1")
-		serve.WriteError(w, http.StatusTooManyRequests, serve.ErrCodeOverloaded,
-			err.Error(), traceID)
-	default:
-		serve.WriteError(w, http.StatusInternalServerError, serve.ErrCodeInternal,
-			err.Error(), traceID)
-	}
-}
-
-// handleSweep is the scale-out twin of the single-process sweep handler:
-// same request schema, same validation, same expansion, and — by merging
-// worker streams back into grid order through the shared row renderer —
-// the same bytes.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	var req serve.SweepRequest
-	if !serve.DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	points, err := serve.ExpandSweep(h, req, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	// Checkpointing: resume from (and append to) this request's journal.
-	// Journaling is best-effort — an unwritable journal directory degrades
-	// to a journal-less sweep, never to a failed one.
-	var jr *journal
-	var journaled map[int]serve.CellLine
-	if c.cfg.JournalDir != "" {
-		if j, done, err := openJournal(c.cfg.JournalDir, c.cfg.JournalKeep, req, len(points)); err == nil {
-			jr, journaled = j, done
-			defer jr.close()
-			if len(done) > 0 {
-				c.resumes.Add(1)
-			}
-		}
-	}
-	slots, err := c.runCells(r.Context(), traceID, h, points, journaled, jr)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, len(points), 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sum := 0.0
-	var agg counters.Bundle
-	var mergeNS int64
-	for i, sl := range slots {
-		select {
-		case <-sl.done:
-		case <-r.Context().Done():
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, r.Context().Err())
-			return
-		}
-		if sl.err != nil {
-			if i == 0 {
-				// Nothing streamed yet: answer with a clean status (429
-				// for overload, 503 for a dead fleet) like the single
-				// process would at admission.
-				c.reject(w, traceID, sl.err)
-				c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-				return
-			}
-			// The stream is already committed; emit a terminal error line
-			// (the same shape the single process emits).
-			enc.Encode(map[string]string{"error": sl.err.Error()})
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-			return
-		}
-		sum += sl.perf
-		agg = agg.Add(sl.counters)
-		te := time.Now()
-		enc.Encode(serve.PointRow(points[i], sl.cycles, sl.translations, sl.perf, sl.counters, sl.sampled))
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	te := time.Now()
-	enc.Encode(serve.SweepSummary{
-		Summary: true, Cells: len(points),
-		AvgNormalizedPerf: sum / float64(len(points)),
-		Counters:          agg,
-	})
-	mergeNS += int64(time.Since(te))
-	c.sweeps.Add(1)
-	c.cellsServed.Add(int64(len(points)))
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, len(points), mergeNS, nil)
-}
-
-// finishRequest records the coordinator's request-level span and emits
-// the structured request log line.
-func (c *Coordinator) finishRequest(traceID string, r *http.Request, start time.Time, cells int, mergeNS int64, reqErr error) {
-	total := int64(time.Since(start))
-	var st trace.Stages
-	st[trace.StageMerge] = mergeNS
-	sp := trace.Span{
-		TraceID: traceID, Kind: "request",
-		Name: r.Method + " " + r.URL.Path, Index: -1,
-		Start: start, TotalNS: total, Stages: st, Cells: cells,
-	}
-	attrs := []any{
-		"trace_id", traceID, "method", r.Method, "path", r.URL.Path,
-		"cells", cells, "ms", float64(total) / float64(time.Millisecond),
-	}
-	if reqErr != nil {
-		sp.Err = reqErr.Error()
-		attrs = append(attrs, "error", reqErr.Error())
-		c.tracer.Record(sp)
-		c.logger.Error("request failed", attrs...)
-		return
-	}
-	c.tracer.Record(sp)
-	c.logger.Info("request", attrs...)
-}
-
-// handleSim routes a single cell to its owning worker and returns one
-// JSON object, byte-identical to the single process's /v1/sim.
-func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	var req serve.SweepRequest
-	if !serve.DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	points, err := serve.ExpandSweep(h, req, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	if len(points) != 1 {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest,
-			fmt.Sprintf("sim requires exactly one cell, got %d (use /v1/sweep for grids)",
-				len(points)), traceID)
-		return
-	}
-	slots, err := c.runCells(r.Context(), traceID, h, points, nil, nil)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, 1, 0, err)
-		return
-	}
-	sl := slots[0]
-	select {
-	case <-sl.done:
-	case <-r.Context().Done():
-		c.finishRequest(traceID, r, startT, 1, 0, r.Context().Err())
-		return
-	}
-	if sl.err != nil {
-		c.reject(w, traceID, sl.err)
-		c.finishRequest(traceID, r, startT, 1, 0, sl.err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	if sl.hit {
-		w.Header().Set("X-Neuserve-Cache", "hit")
-	} else {
-		w.Header().Set("X-Neuserve-Cache", "miss")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	te := time.Now()
-	enc.Encode(serve.PointRow(points[0], sl.cycles, sl.translations, sl.perf, sl.counters, sl.sampled))
-	c.cellsServed.Add(1)
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, 1, int64(time.Since(te)), nil)
-}
-
-// handleCells lets a coordinator speak the worker wire protocol itself:
-// explicit points in, CellLines out in input order — so the exp remote
-// backend (and chained coordinators) need only one protocol.
-func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	traceID := trace.FromRequest(r)
-	req, points, err := serve.ParseCellsRequest(r, c.cfg.MaxCellsPerRequest)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	eff, err := serve.MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := c.harnesses.Get(eff)
-	slots, err := c.runCells(r.Context(), traceID, h, points, nil, nil)
-	if err != nil {
-		c.reject(w, traceID, err)
-		c.finishRequest(traceID, r, startT, len(points), 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	serve.MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mergeNS int64
-	for i, sl := range slots {
-		select {
-		case <-sl.done:
-		case <-r.Context().Done():
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, r.Context().Err())
-			return
-		}
-		if sl.err != nil && i == 0 && errors.Is(sl.err, ErrWorkerOverloaded) {
-			// Mirror the worker protocol: overload before any line is a
-			// 429 the caller can retry, not a stream of error lines.
-			c.reject(w, traceID, sl.err)
-			c.finishRequest(traceID, r, startT, len(points), mergeNS, sl.err)
-			return
-		}
-		line := serve.CellLine{I: i, Hit: sl.hit}
-		if sl.err != nil {
-			line.Err = sl.err.Error()
-		} else {
-			line.Cycles, line.Translations, line.Perf = sl.cycles, sl.translations, sl.perf
-			line.Counters = sl.counters
-			line.Sampled = sl.sampled
-		}
-		te := time.Now()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	c.cellsServed.Add(int64(len(points)))
-	c.sweepLatency.Record(float64(time.Since(startT)) / float64(time.Millisecond))
-	c.finishRequest(traceID, r, startT, len(points), mergeNS, nil)
 }
 
 // Metrics is the coordinator's /metrics response: fleet health, routing
@@ -846,11 +580,12 @@ type Metrics struct {
 
 // Metrics snapshots the coordinator's operational state.
 func (c *Coordinator) Metrics() Metrics {
+	fe := c.fe.Stats()
 	return Metrics{
 		UptimeSec:        time.Since(c.start).Seconds(),
-		Requests:         c.requests.Load(),
-		Sweeps:           c.sweeps.Load(),
-		CellsServed:      c.cellsServed.Load(),
+		Requests:         fe.Requests,
+		Sweeps:           fe.Sweeps,
+		CellsServed:      fe.CellsServed,
 		CellsRerouted:    c.reroutes.Load(),
 		NoWorkerErrors:   c.noWorkers.Load(),
 		JournalEnabled:   c.cfg.JournalDir != "",
@@ -859,7 +594,7 @@ func (c *Coordinator) Metrics() Metrics {
 		WorkersTotal:     len(c.pool.workers),
 		WorkersHealthy:   c.pool.healthyCount(),
 		Workers:          c.pool.metrics(),
-		SweepLatencyMS:   serve.ToLatencyJSON(c.sweepLatency.Summary()),
+		SweepLatencyMS:   serve.ToLatencyJSON(fe.SweepLatency),
 	}
 }
 

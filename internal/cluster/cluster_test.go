@@ -170,19 +170,87 @@ func TestClusterSimByteIdentical(t *testing.T) {
 }
 
 // TestClusterBadRequestsMatchSingleProcess: validation runs on the
-// coordinator, with the same outcomes as a worker would produce.
+// coordinator, with the same outcomes as a worker would produce — the
+// same status, envelope code and message on /v1/sweep, /v1/sim and
+// /v1/cells, and the same deprecation header on legacy-flat requests
+// that succeed.
 func TestClusterBadRequestsMatchSingleProcess(t *testing.T) {
-	_, ts := newCoordinator(t, Config{Workers: []string{newWorker(t, nil).ts.URL}})
+	const maxCells = 4
+	single := serve.New(serve.Config{Workers: 2, MaxCellsPerRequest: maxCells})
+	singleTS := httptest.NewServer(single)
+	t.Cleanup(func() { singleTS.Close(); single.Close() })
+	_, ts := newCoordinator(t, Config{
+		Workers: []string{newWorker(t, nil).ts.URL}, MaxCellsPerRequest: maxCells,
+	})
+
+	const cell = `{"kind":"iommu","page_size":"4KB","model":"CNN-1","batch":4}`
+	const one = `"models":["CNN-1"],"batches":[4],"mmus":["iommu"]`
+	// ok marks the valid legacy-flat requests (200 on both tiers); every
+	// other case is a 400.
+	type tc struct {
+		path, body string
+		ok         bool
+	}
+	var cases []tc
+	for _, path := range []string{"/v1/sweep", "/v1/sim"} {
+		for _, body := range []string{
+			`{not json`,
+			`{"mmus":["tpu"]}`,
+			`{"models":["VGG-99"]}`,
+			`{"batches":[0]}`,
+			`{"unknown_field":1}`,
+			`{` + one + `,"effort":{"mode":"turbo"}}`,
+			`{` + one + `,"effort":{"target_ci":0.1}}`,
+			`{` + one + `,"effort":{"intra_cell_workers":-1}}`,
+			testSweep, // 8 cells, above maxCells (and a grid for /v1/sim)
+		} {
+			cases = append(cases, tc{path, body, false})
+		}
+		cases = append(cases, tc{path, `{"quick":true,` + one + `}`, true})
+	}
+	// Two cells: a valid sweep, but not a sim.
+	cases = append(cases, tc{"/v1/sim", `{"quick":true,"models":["CNN-1"],"batches":[1,4],"mmus":["iommu"]}`, false})
 	for _, body := range []string{
 		`{not json`,
-		`{"mmus":["tpu"]}`,
-		`{"models":["VGG-99"]}`,
-		`{"batches":[0]}`,
-		`{"unknown_field":1}`,
+		`{"points":[]}`,
+		`{"points":[{"kind":"tpu","page_size":"4KB","model":"CNN-1","batch":4}]}`,
+		`{"points":[` + cell + `],"effort":{"mode":"turbo"}}`,
+		`{"points":[` + cell + `],"effort":{"target_ci":0.1}}`,
+		`{"points":[` + cell + `],"effort":{"intra_cell_workers":-1}}`,
+		`{"points":[` + strings.Repeat(cell+",", maxCells) + cell + `]}`,
 	} {
-		resp, _ := post(t, ts.URL, "/v1/sweep", body)
-		if resp.StatusCode != 400 {
-			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+		cases = append(cases, tc{"/v1/cells", body, false})
+	}
+	cases = append(cases, tc{"/v1/cells", `{"quick":true,"points":[` + cell + `]}`, true})
+
+	for _, c := range cases {
+		respS, bodyS := post(t, singleTS.URL, c.path, c.body)
+		respC, bodyC := post(t, ts.URL, c.path, c.body)
+		name := c.path + " " + c.body
+		if respS.StatusCode != respC.StatusCode {
+			t.Errorf("%s: status single %d, coordinator %d", name, respS.StatusCode, respC.StatusCode)
+			continue
+		}
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[c.ok]; respS.StatusCode != want {
+			t.Errorf("%s: status = %d, want %d: %s", name, respS.StatusCode, want, bodyS)
+			continue
+		}
+		if c.ok {
+			dS, dC := respS.Header.Get(serve.DeprecationHeader), respC.Header.Get(serve.DeprecationHeader)
+			if dS == "" || dS != dC {
+				t.Errorf("%s: deprecation header single %q, coordinator %q", name, dS, dC)
+			}
+			continue
+		}
+		var envS, envC serve.ErrorBody
+		if err := json.Unmarshal(bodyS, &envS); err != nil {
+			t.Fatalf("%s: single answered no envelope: %v: %s", name, err, bodyS)
+		}
+		if err := json.Unmarshal(bodyC, &envC); err != nil {
+			t.Fatalf("%s: coordinator answered no envelope: %v: %s", name, err, bodyC)
+		}
+		if envS.Error.Code != envC.Error.Code || envS.Error.Message != envC.Error.Message {
+			t.Errorf("%s: envelopes differ:\n single:      %+v\n coordinator: %+v", name, envS.Error, envC.Error)
 		}
 	}
 }
@@ -280,7 +348,7 @@ func shardSplit(t *testing.T, urls ...string) map[string]int {
 	r := newRing(urls, 64)
 	counts := map[string]int{}
 	for _, p := range points {
-		counts[r.owner(serve.CellHash64(p, serveEffort(h)), nil)]++
+		counts[r.owner(serve.CellHash64(p, h.Options().Effort), nil)]++
 	}
 	return counts
 }

@@ -184,8 +184,12 @@ func (j *journal) appendCell(cl serve.CellLine) {
 	j.f.Write(line)
 }
 
-// close closes the underlying file; later appends become no-ops.
+// close closes the underlying file; later appends become no-ops. A nil
+// journal (checkpointing off) closes as a no-op.
 func (j *journal) close() {
+	if j == nil {
+		return
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f != nil {

@@ -3,7 +3,7 @@ package cluster
 import (
 	"net/http"
 
-	"neummu/internal/stats"
+	"neummu/internal/serve"
 	"neummu/internal/trace"
 )
 
@@ -78,8 +78,8 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter) {
 		"Re-routed cells each worker took over from a failed peer.",
 		func(w WorkerMetrics) int64 { return w.CellsAdopted })
 
-	writeLatencySummary(p, "neucoord_sweep_latency_seconds",
-		"Sweep/sim/cells request latency at the coordinator.", c.sweepLatency.Summary())
+	serve.WriteLatencySummary(p, "neucoord_sweep_latency_seconds",
+		"Sweep/sim/cells request latency at the coordinator.", c.fe.Stats().SweepLatency)
 
 	trace.WriteStageHistograms(p, "neuserve_stage_duration_seconds",
 		"Per-stage request latency attribution (queue, cache, disk, compute, retry, merge).",
@@ -91,18 +91,4 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// writeLatencySummary mirrors the serving layer's summary rendering: the
-// recorder works in milliseconds, the wire is seconds, and an empty
-// window omits the quantile samples rather than inventing a zero.
-func writeLatencySummary(p *trace.PromWriter, family, help string, s stats.LatencySummary) {
-	p.Family(family, "summary", help)
-	if !s.Valid() {
-		p.Summary(nil, nil, 0, 0)
-		return
-	}
-	p.Summary([]float64{0.5, 0.95, 0.99},
-		[]float64{s.P50 / 1e3, s.P95 / 1e3, s.P99 / 1e3},
-		s.Mean/1e3*float64(s.Count), s.Count)
 }

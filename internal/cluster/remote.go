@@ -49,20 +49,8 @@ func SweepFunc(baseURL string, client *http.Client) exp.RemoteFunc {
 }
 
 func remoteCells(baseURL string, client *http.Client, points []exp.Point, opts exp.Options) ([]exp.RemoteCell, error) {
-	req := serve.CellsRequest{
-		Points:    make([]serve.WirePoint, len(points)),
-		Quick:     opts.Quick,
-		RepeatCap: opts.RepeatCap,
-		TileCap:   opts.TileCap,
-		// Epoch-structured efforts need the effort object; legacy-shaped
-		// work keeps its pre-redesign payload bytes (Effort stays nil).
-		Effort: serve.Effort{
-			Quick: opts.Quick, RepeatCap: opts.RepeatCap, TileCap: opts.TileCap,
-			Sampled:          opts.Effort.Sampled(),
-			TargetCI:         opts.Effort.TargetCI,
-			IntraCellWorkers: opts.Effort.IntraCellWorkers,
-		}.ToWireEffort(),
-	}
+	eff := opts.Effort
+	req := serve.CellsRequest{Points: make([]serve.WirePoint, len(points)), Effort: &eff}
 	for i, p := range points {
 		req.Points[i] = serve.ToWire(p)
 	}

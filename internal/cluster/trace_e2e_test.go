@@ -139,7 +139,7 @@ func TestTracePropagationAcrossProcesses(t *testing.T) {
 	ring := newRing(peerURLs, 64)
 	freshSplit := map[string]int{}
 	for _, p := range points {
-		freshSplit[ring.owner(serve.CellHash64(p, serveEffort(h)), nil)]++
+		freshSplit[ring.owner(serve.CellHash64(p, h.Options().Effort), nil)]++
 	}
 	victim := workers[0]
 	for _, w := range workers[1:] {

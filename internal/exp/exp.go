@@ -39,12 +39,12 @@ type Options struct {
 	// RepeatCap / TileCap truncate repeated layers and per-layer tiles;
 	// zero keeps the harness defaults (3 and 0). Deprecated in favor of
 	// the equivalent Effort fields; still accepted and folded in by
-	// normalized(), with explicit Effort fields winning.
+	// Effort.WithLegacy, with explicit Effort fields winning.
 	RepeatCap int
 	TileCap   int
 	// Quick shrinks the sweep for benchmark iterations: CNN-1 and RNN-1
 	// only, batch 4, capped tiles. Deprecated alias for
-	// Effort{Mode: EffortQuick}.
+	// Effort{Mode: EffortQuick}; an explicit Effort.Mode wins over it.
 	Quick bool
 	// Effort is the unified effort knob: mode (exact/sampled/quick),
 	// caps, sampling CI target and intra-cell parallelism. Zero fields
@@ -75,8 +75,7 @@ type Options struct {
 
 // RemoteFunc evaluates an explicit point list on a remote backend,
 // returning one cell per point in input order. opts carries the
-// normalized effort knobs (Quick, RepeatCap, TileCap) that shape every
-// cell's schedule.
+// normalized Effort that shapes every cell's schedule.
 type RemoteFunc func(points []Point, opts Options) ([]RemoteCell, error)
 
 // RemoteCell is the headline result of one remotely evaluated point —
@@ -90,25 +89,13 @@ type RemoteCell struct {
 }
 
 func (o Options) normalized() Options {
-	// Fold the unified Effort knob and the legacy flat fields into one
-	// canonical view: explicit Effort fields win, the deprecated flat
-	// knobs fill the gaps, and the flat mirrors are written back so
-	// every existing reader of opts.Quick/RepeatCap/TileCap stays
-	// correct.
-	if o.Effort.Mode == EffortQuick {
-		o.Quick = true
-	} else if o.Effort.Mode == "" && o.Quick {
-		o.Effort.Mode = EffortQuick
-	}
-	if o.Effort.RepeatCap == 0 {
-		o.Effort.RepeatCap = o.RepeatCap
-	}
-	if o.Effort.TileCap == 0 {
-		o.Effort.TileCap = o.TileCap
-	}
-	if o.Effort.Sampled() && o.Effort.TargetCI == 0 {
-		o.Effort.TargetCI = 0.05
-	}
+	// The deprecated flat knobs fold into Effort (whose explicit fields
+	// win), and the flat mirrors are written back from the canonical
+	// effort so every existing reader of opts.Quick/RepeatCap/TileCap
+	// stays correct.
+	o.Effort = o.Effort.WithLegacy(o.Quick, o.RepeatCap, o.TileCap).Normalized()
+	o.Quick = o.Effort.Mode == EffortQuick
+	o.RepeatCap, o.TileCap = o.Effort.RepeatCap, o.Effort.TileCap
 	if o.Quick {
 		if len(o.Models) == 0 {
 			o.Models = []string{"CNN-1", "RNN-1"}
@@ -116,13 +103,6 @@ func (o Options) normalized() Options {
 		if len(o.Batches) == 0 {
 			o.Batches = []int{4}
 		}
-		if o.Effort.RepeatCap == 0 {
-			o.Effort.RepeatCap = 2
-		}
-		if o.Effort.TileCap == 0 {
-			o.Effort.TileCap = 6
-		}
-		o.RepeatCap, o.TileCap = o.Effort.RepeatCap, o.Effort.TileCap
 		return o
 	}
 	if len(o.Models) == 0 {
@@ -131,10 +111,6 @@ func (o Options) normalized() Options {
 	if len(o.Batches) == 0 {
 		o.Batches = []int{1, 4, 8}
 	}
-	if o.Effort.RepeatCap == 0 {
-		o.Effort.RepeatCap = 3
-	}
-	o.RepeatCap, o.TileCap = o.Effort.RepeatCap, o.Effort.TileCap
 	return o
 }
 

@@ -11,8 +11,8 @@ import (
 // path — request decode, scheduler admission, cache resolve, NDJSON
 // streaming — cold (every cell simulates) versus warm (every cell is a
 // cache hit). The gap between the two is what the content-addressed cache
-// buys a fleet of clients sweeping overlapping design spaces. Results are
-// recorded in BENCH_serve.json.
+// buys a fleet of clients sweeping overlapping design spaces. CI gates it
+// against bench/baseline.txt; the end-to-end benchmark is perfbench/.
 func BenchmarkServeSweepThroughput(b *testing.B) {
 	const payload = quickSweep // 2 models x 1 batch x 2 MMU kinds = 4 cells
 	const cellsPerRequest = 4

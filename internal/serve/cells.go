@@ -1,18 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"strconv"
-	"time"
 
 	"neummu/internal/core"
 	"neummu/internal/counters"
 	"neummu/internal/exp"
-	"neummu/internal/trace"
 	"neummu/internal/vm"
 	"neummu/internal/walker"
 	"neummu/internal/workloads"
@@ -143,8 +139,8 @@ type CellsRequest struct {
 	TileCap   int  `json:"tile_cap,omitempty"`
 
 	// Effort is the unified effort object; nil marshals to nothing so
-	// legacy-shaped payload bytes — and the cluster journal headers and
-	// sweep hashes derived from them — are unchanged by the redesign.
+	// legacy-shaped payload bytes are unchanged by the redesign. A
+	// coordinator always sends its normalized effort here.
 	Effort *WireEffort `json:"effort,omitempty"`
 }
 
@@ -180,43 +176,31 @@ type CellLine struct {
 // agree on placement. Epoch-structured efforts (sampled or
 // intra-cell-parallel) append a suffix keyed on the engine's semantics —
 // sampled-ness and CI target, never the worker count, which cannot
-// change result bytes.
-func CellHash64(p exp.Point, e Effort) uint64 {
+// change result bytes among counts ≥ 1. Callers pass the normalized
+// effort (exp.Effort.Normalized), so every spelling of one effort routes
+// alike.
+func CellHash64(p exp.Point, e exp.Effort) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		p.Kind, p.PageSize, p.Model, p.Batch,
 		p.PTWs, p.PRMBSlots, p.PTS, p.Path, p.TLBEntries,
 		e.RepeatCap, e.TileCap)
 	if e.Epoched() {
-		fmt.Fprintf(h, "|epoched|s=%t|ci=%g", e.Sampled, e.TargetCI)
+		fmt.Fprintf(h, "|epoched|s=%t|ci=%g", e.Sampled(), e.TargetCI)
 	}
 	return h.Sum64()
 }
 
-// PointRow renders the public NDJSON row for one resolved cell. It is the
-// single rendering path shared by the in-process sweep handler and the
-// cluster coordinator's merge, which is what makes a merged cluster sweep
-// byte-identical to a single-process one.
-func PointRow(p exp.Point, cycles, translations int64, perf float64, c counters.Bundle, sampled *SampleJSON) CellRow {
-	return CellRow{
-		Model: p.Model, Batch: p.Batch,
-		MMU: p.Kind.String(), PageSize: p.PageSize.String(),
-		Cycles: cycles, Translations: translations, NormalizedPerf: perf,
-		Counters: c, Sampled: sampled,
-	}
-}
-
 // ExpandSweep validates an axes-shaped sweep request and expands it into
 // its deterministic point grid under the harness's normalized defaults.
-// It is shared by the in-process sweep handler and the cluster
-// coordinator, so both reject exactly the same payloads and expand to
-// exactly the same grids.
+// The front end expands for both tiers, so both reject exactly the same
+// payloads and expand to exactly the same grids.
 func ExpandSweep(h *exp.Harness, req SweepRequest, maxCells int) ([]exp.Point, error) {
-	kinds, err := parseKinds(req.MMUs)
+	kinds, err := parseAll(req.MMUs, parseKind)
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := parsePageSizes(req.PageSizes)
+	sizes, err := parseAll(req.PageSizes, parsePageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -260,18 +244,13 @@ func ExpandSweep(h *exp.Harness, req SweepRequest, maxCells int) ([]exp.Point, e
 	return points, nil
 }
 
-// ParseCellsRequest decodes and validates a /v1/cells payload: strict
+// parseCellsRequest decodes and validates a /v1/cells payload: strict
 // JSON, a non-empty point list within maxCells, every wire point
-// convertible. It is shared by the worker handler here and the cluster
-// coordinator (which also speaks the protocol), so both tiers reject
-// exactly the same payloads with the same messages; every error maps to
-// a 400.
-func ParseCellsRequest(r *http.Request, maxCells int) (CellsRequest, []exp.Point, error) {
+// convertible. Every error maps to a 400.
+func parseCellsRequest(r *http.Request, maxCells int) (CellsRequest, []exp.Point, error) {
 	var req CellsRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, nil, fmt.Errorf("bad request body: %w", err)
+	if err := decodeStrict(r, &req); err != nil {
+		return req, nil, err
 	}
 	if len(req.Points) == 0 {
 		return req, nil, errors.New("no points")
@@ -289,62 +268,4 @@ func ParseCellsRequest(r *http.Request, maxCells int) (CellsRequest, []exp.Point
 		points[i] = p
 	}
 	return req, points, nil
-}
-
-// handleCells streams one CellLine per requested point, in input order,
-// resolving each point through the same scheduler and cell cache as
-// /v1/sweep — so a coordinator routing repeated cells to this worker hits
-// the same LRU entries an interactive client would.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	traceID := trace.FromRequest(r)
-	req, points, err := ParseCellsRequest(r, s.cfg.MaxCellsPerRequest)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	h := s.harness(e)
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, len(points), 0, 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.Quick || req.RepeatCap != 0 || req.TileCap != 0, req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	w.Header().Set("X-Neuserve-Cache",
-		fmt.Sprintf("hits=%d misses=%d", hits, len(points)-hits))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mergeNS int64
-	for i, fl := range flights {
-		line := CellLine{I: i, Hit: fl.Hit}
-		tw := time.Now()
-		v, err := fl.Wait()
-		waitNS := int64(time.Since(tw))
-		s.recordCellSpan(traceID, i, points[i], fl, timings[i], waitNS, v, err)
-		if err != nil {
-			line.Err = err.Error()
-		} else {
-			line.Cycles, line.Translations, line.Perf = v.Cycles, v.Translations, v.Perf
-			line.Counters = v.Counters
-			line.Sampled = v.Sampled
-		}
-		te := time.Now()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	s.metrics.cellsServed.Add(int64(len(points)))
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
-	s.finishRequest(traceID, r, start, len(points), hits, mergeNS, nil)
 }

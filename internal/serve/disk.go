@@ -29,22 +29,10 @@ type storeKey struct {
 	Epoched  bool    `json:"epoched,omitempty"`
 }
 
-// effort reconstructs the canonical routing effort from a cache key: the
-// knobs that identify the result, with the worker count — which never
-// changes result bytes — canonicalized away (epoched-ness survives as a
-// single worker).
-func (k cellKey) effort() Effort {
-	e := Effort{RepeatCap: k.repeatCap, TileCap: k.tileCap, Sampled: k.sampled, TargetCI: k.targetCI}
-	if k.epoched && !e.Epoched() {
-		e.IntraCellWorkers = 1
-	}
-	return e
-}
-
 func storeKeyBytes(k cellKey) []byte {
 	b, err := json.Marshal(storeKey{
-		Point: ToWire(k.point), RepeatCap: k.repeatCap, TileCap: k.tileCap,
-		Sampled: k.sampled, TargetCI: k.targetCI, Epoched: k.epoched,
+		Point: ToWire(k.point), RepeatCap: k.effort.RepeatCap, TileCap: k.effort.TileCap,
+		Sampled: k.effort.Sampled(), TargetCI: k.effort.TargetCI, Epoched: k.effort.Epoched(),
 	})
 	if err != nil {
 		// Marshal of plain structs with string/int/bool fields cannot fail.
@@ -62,7 +50,7 @@ func (s *Server) diskGet(k cellKey) (cellValue, bool) {
 	if s.store == nil {
 		return cellValue{}, false
 	}
-	raw, ok := s.store.Get(CellHash64(k.point, k.effort()), storeKeyBytes(k))
+	raw, ok := s.store.Get(CellHash64(k.point, k.effort), storeKeyBytes(k))
 	if !ok {
 		return cellValue{}, false
 	}
@@ -88,5 +76,5 @@ func (s *Server) diskPut(k cellKey, v cellValue) {
 	if err != nil {
 		panic("serve: encoding store value: " + err.Error())
 	}
-	s.store.Put(CellHash64(k.point, k.effort()), storeKeyBytes(k), raw)
+	s.store.Put(CellHash64(k.point, k.effort), storeKeyBytes(k), raw)
 }

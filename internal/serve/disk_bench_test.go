@@ -14,7 +14,8 @@ import (
 // cell simulates; diskwarm = fresh process (empty RAM cache) over a
 // store directory a previous run populated, every cell answers from
 // disk. The per-iteration store open/close models the restart itself.
-// Results are recorded in BENCH_store.json.
+// The end-to-end disk-warm measurement is perfbench's mixed-fleet
+// workload (perfbench/README.md).
 func BenchmarkStoreWarmRestart(b *testing.B) {
 	const payload = quickSweep // 2 models x 1 batch x 2 MMU kinds = 4 cells
 	const cellsPerRequest = 4

@@ -17,15 +17,12 @@ import (
 type metrics struct {
 	start time.Time
 
-	requests  atomic.Int64 // HTTP requests accepted (any endpoint)
-	overloads atomic.Int64 // requests rejected with 429
+	// Requests, overloads, cells served and the sweep latency are the
+	// front end's (Frontend.Stats).
+	simulated  atomic.Int64 // cell simulations actually executed
+	figsServed atomic.Int64 // figure bodies streamed
+	figsBuilt  atomic.Int64 // figure renders actually executed
 
-	cellsServed atomic.Int64 // sweep/sim cells streamed to clients
-	simulated   atomic.Int64 // cell simulations actually executed
-	figsServed  atomic.Int64 // figure bodies streamed
-	figsBuilt   atomic.Int64 // figure renders actually executed
-
-	sweepLatency  *stats.Latency
 	figureLatency *stats.Latency
 
 	// simCounters sums the audited counter bundle of every cell simulation
@@ -52,7 +49,6 @@ func (m *metrics) countersSnapshot() counters.Bundle {
 func newMetrics() *metrics {
 	return &metrics{
 		start:         time.Now(),
-		sweepLatency:  stats.NewLatency(0),
 		figureLatency: stats.NewLatency(0),
 	}
 }
@@ -123,14 +119,15 @@ type Metrics struct {
 
 func (s *Server) snapshot() Metrics {
 	m := s.metrics
+	fe := s.fe.Stats()
 	up := time.Since(m.start).Seconds()
-	cells := m.cellsServed.Load()
+	cells := fe.CellsServed
 	simulated := m.simulated.Load()
 	cellStats := s.cells.Stats()
 	out := Metrics{
 		UptimeSec: up,
-		Requests:  m.requests.Load(),
-		Overloads: m.overloads.Load(),
+		Requests:  fe.Requests,
+		Overloads: fe.Overloads,
 
 		QueueDepth: s.sched.QueueDepth(),
 		Workers:    s.sched.Workers(),
@@ -145,7 +142,7 @@ func (s *Server) snapshot() Metrics {
 		FiguresServed: m.figsServed.Load(),
 		FiguresBuilt:  m.figsBuilt.Load(),
 
-		SweepLatencyMS:  ToLatencyJSON(m.sweepLatency.Summary()),
+		SweepLatencyMS:  ToLatencyJSON(fe.SweepLatency),
 		FigureLatencyMS: ToLatencyJSON(m.figureLatency.Summary()),
 
 		SimCounters: m.countersSnapshot(),

@@ -63,9 +63,9 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter) {
 	p.Family("neuserve_disk_tier_pending_writes", "gauge", "Write-behind puts not yet on disk.")
 	p.Sample(float64(m.DiskTier.PendingWrites))
 
-	writeLatencySummary(p, "neuserve_sweep_latency_seconds",
-		"Sweep/sim/cells request latency.", s.metrics.sweepLatency.Summary())
-	writeLatencySummary(p, "neuserve_figure_latency_seconds",
+	WriteLatencySummary(p, "neuserve_sweep_latency_seconds",
+		"Sweep/sim/cells request latency.", s.fe.Stats().SweepLatency)
+	WriteLatencySummary(p, "neuserve_figure_latency_seconds",
 		"Figure request latency.", s.metrics.figureLatency.Summary())
 
 	trace.WriteLabeledCounter(p, "neuserve_sim_counters_total",
@@ -141,12 +141,13 @@ func sortedCacheSamples(caches map[string]CacheStats, f func(CacheStats) int64) 
 	return out
 }
 
-// writeLatencySummary emits a Prometheus summary for a windowed latency
+// WriteLatencySummary emits a Prometheus summary for a windowed latency
 // recorder: p50/p95/p99 quantiles (omitted entirely when the window is
 // empty — absence, not a fake zero, mirroring the JSON body), plus the
 // exact _sum/_count pair. The recorder works in milliseconds; the wire is
-// seconds per Prometheus convention.
-func writeLatencySummary(p *trace.PromWriter, family, help string, s stats.LatencySummary) {
+// seconds per Prometheus convention. Shared with the cluster
+// coordinator's scrape.
+func WriteLatencySummary(p *trace.PromWriter, family, help string, s stats.LatencySummary) {
 	p.Family(family, "summary", help)
 	if !s.Valid() {
 		p.Summary(nil, nil, 0, 0)

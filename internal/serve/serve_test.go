@@ -640,30 +640,31 @@ func TestCacheLiveJoinerKeepsCompute(t *testing.T) {
 // TestSweepCancelledClientNeverSimulates is the end-to-end form: a sweep
 // request whose client disconnects while its cells sit in the scheduler
 // queue must not simulate anything once the worker gets to them. It
-// drives the handler's resolve path directly with a cancelled context —
-// exactly what net/http hands handleSweep when the client hangs up.
+// drives the local cell source directly with a cancelled context —
+// exactly what net/http hands the sweep handler when the client hangs up.
 func TestSweepCancelledClientNeverSimulates(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 64})
 	block := make(chan struct{})
 	if err := s.sched.Submit(0, func() { <-block }); err != nil {
 		t.Fatal(err)
 	}
-	h, points, err := s.expand(SweepRequest{
-		Quick: true, Models: []string{"CNN-1", "RNN-1"}, Batches: []int{4},
+	h := s.harnesses.Get(exp.Effort{Mode: exp.EffortQuick})
+	points, err := ExpandSweep(h, SweepRequest{
+		Models: []string{"CNN-1", "RNN-1"}, Batches: []int{4},
 		MMUs: []string{"neummu", "iommu"},
-	})
+	}, s.cfg.MaxCellsPerRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	flights, _, _, err := s.resolveCells(ctx, h, points)
+	pending, err := local{s}.Resolve(ctx, Job{Harness: h, Points: points})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()     // the client disconnects while all 4 cells are queued
 	close(block) // the worker reaches them
-	for _, fl := range flights {
-		if _, err := fl.Wait(); err != context.Canceled {
+	for i := range points {
+		if _, err := pending.Wait(ctx, i); err != context.Canceled {
 			t.Errorf("flight err = %v, want context.Canceled", err)
 		}
 	}
@@ -780,7 +781,7 @@ func TestWirePointRoundTrip(t *testing.T) {
 		if rt != p {
 			t.Errorf("round trip changed %+v to %+v", p, rt)
 		}
-		if CellHash64(rt, Effort{RepeatCap: 2, TileCap: 6}) != CellHash64(p, Effort{RepeatCap: 2, TileCap: 6}) {
+		if CellHash64(rt, exp.Effort{RepeatCap: 2, TileCap: 6}) != CellHash64(p, exp.Effort{RepeatCap: 2, TileCap: 6}) {
 			t.Errorf("%s: hash changed across round trip", p.Label())
 		}
 	}

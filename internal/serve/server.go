@@ -1,7 +1,9 @@
 // Package serve is the simulation-as-a-service layer: an HTTP/JSON front
 // end over the experiment harness (internal/exp) and the shared figure
 // registry (internal/figures), with a sharded job scheduler and a
-// content-addressed result cache between the two.
+// content-addressed result cache between the two. The front end
+// (frontend.go) is shared with the cluster coordinator, which mounts it
+// over a remote CellSource; a Server mounts it over the local one.
 //
 // Endpoints:
 //
@@ -32,7 +34,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"log/slog"
@@ -41,13 +42,11 @@ import (
 	"sync"
 	"time"
 
-	"neummu/internal/core"
 	"neummu/internal/counters"
 	"neummu/internal/exp"
 	"neummu/internal/figures"
 	"neummu/internal/store"
 	"neummu/internal/trace"
-	"neummu/internal/vm"
 )
 
 // Config tunes a Server.
@@ -93,78 +92,57 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Effort identifies a harness configuration: the effort knobs a request
-// may set. Harnesses are memoized per effort so all requests at one effort
-// share plan/snapshot/oracle caches. Requests express it either through
-// the legacy flat quick/repeat_cap/tile_cap fields or the unified effort
-// object (WireEffort); mergeEffort folds both into this one type so the
-// two spellings can never diverge.
-type Effort struct {
-	Quick     bool
-	RepeatCap int
-	TileCap   int
-	// Sampled selects statistical simulation: a seeded, stratified subset
-	// of each cell's epochs, scaled up with confidence intervals.
-	Sampled bool
-	// TargetCI is the sampled-mode relative 95% CI half-width target
-	// (normalized to 0.05 when sampled and unset).
-	TargetCI float64
-	// IntraCellWorkers splits each cell across cores at epoch barriers.
-	// Any value ≥ 1 selects the epoch-structured engine; the count itself
-	// never changes result bytes (results are identical for every worker
-	// count ≥ 1), so cell keys carry only the epoched-ness bit.
-	IntraCellWorkers int
-}
-
-// HarnessCache memoizes one exp.Harness per effort level. It is the one
-// place that decides what selects a harness, shared by the server and the
-// cluster coordinator so the two tiers can never diverge on effort
+// HarnessCache memoizes one exp.Harness per normalized effort. It is the
+// one place that decides what selects a harness, shared by the server and
+// the cluster coordinator so the two tiers can never diverge on effort
 // normalization.
 type HarnessCache struct {
 	workers int
 
 	mu sync.Mutex
-	m  map[Effort]*exp.Harness
+	m  map[exp.Effort]*exp.Harness
 }
 
 // NewHarnessCache returns a cache whose harnesses run sweeps on the given
 // worker count (1 = a pure expansion/normalization harness that never
 // simulates in parallel — what a coordinator wants).
 func NewHarnessCache(workers int) *HarnessCache {
-	return &HarnessCache{workers: workers, m: make(map[Effort]*exp.Harness)}
+	return &HarnessCache{workers: workers, m: make(map[exp.Effort]*exp.Harness)}
 }
 
-// Get returns the memoized harness for an effort level, building it on
-// first use.
-func (c *HarnessCache) Get(e Effort) *exp.Harness {
+// Get returns the memoized harness for an effort, building it on first
+// use. Efforts that normalize alike share one harness.
+func (c *HarnessCache) Get(e exp.Effort) *exp.Harness {
+	e = e.Normalized()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.m[e]
 	if !ok {
-		h = exp.New(exp.Options{
-			Quick: e.Quick, RepeatCap: e.RepeatCap, TileCap: e.TileCap,
-			Effort:  e.expEffort(),
-			Workers: c.workers,
-		})
+		h = exp.New(exp.Options{Effort: e, Workers: c.workers})
 		c.m[e] = h
 	}
 	return h
 }
 
 // cellKey content-addresses one simulation cell: the full design Point
-// plus the normalized effort knobs that shape its result. Everything that
-// influences the result is in the key; nothing else is — in particular
-// the intra-cell worker count stays out (results are identical for every
-// count ≥ 1) while the epoched-ness of the engine goes in (the
-// epoch-structured schedule is a distinct semantics from the monolithic
-// one, so exact, exact-epoched and sampled cells never alias).
+// plus the normalized effort that shapes its result. Everything that
+// influences the result is in the key; nothing else is — quick mode
+// (which only shrinks default grids; its caps are explicit once
+// normalized) and the intra-cell worker count (results are identical for
+// every count ≥ 1) stay out, while the engine goes in: monolithic,
+// epoch-engine and sampled cells never alias.
 type cellKey struct {
-	point     exp.Point
-	repeatCap int
-	tileCap   int
-	sampled   bool
-	targetCI  float64
-	epoched   bool
+	point  exp.Point
+	effort exp.Effort
+}
+
+// keyOf builds a cell's cache key from its point and normalized effort.
+func keyOf(p exp.Point, e exp.Effort) cellKey {
+	if e.Mode == exp.EffortQuick {
+		e.Mode = ""
+	}
+	e.IntraCellWorkers = min(e.IntraCellWorkers, 1)
+	return cellKey{point: p, effort: e}
 }
 
 // cellValue is the cached result of one cell — the scalars the wire rows
@@ -189,16 +167,12 @@ type cellValue struct {
 // map/list bookkeeping around them.
 const cellEntryCost = 640
 
-// figKey content-addresses one rendered figure body. Like cellKey it
-// carries the epoched-ness of the engine, never the worker count.
+// figKey content-addresses one rendered figure body: the figure and its
+// normalized effort, whose worker count — like cellKey's — is reduced to
+// the epoch-engine bit.
 type figKey struct {
-	name     string
-	quick    bool
-	repeat   int
-	tileCap  int
-	sampled  bool
-	targetCI float64
-	epoched  bool
+	name   string
+	effort exp.Effort
 }
 
 // Server is the simulation service. Create with New, mount as an
@@ -212,8 +186,7 @@ type Server struct {
 	seed    maphash.Seed
 	metrics *metrics
 	tracer  *trace.Tracer
-	logger  *slog.Logger
-	mux     *http.ServeMux
+	fe      *Frontend
 
 	harnesses *HarnessCache
 }
@@ -240,30 +213,17 @@ func New(cfg Config) *Server {
 		seed:      maphash.MakeSeed(),
 		metrics:   newMetrics(),
 		tracer:    trace.NewTracer(traceCfg),
-		logger:    logger,
 		harnesses: NewHarnessCache(cfg.Workers),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", s.tracer.HandleList)
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		s.tracer.HandleByID(w, r, r.PathValue("id"))
-	})
-	mux.HandleFunc("GET /v1/figures", s.handleFigureList)
-	mux.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/sim", s.handleSim)
-	mux.HandleFunc("POST /v1/cells", s.handleCells)
-	s.mux = mux
+	s.fe = NewFrontend(local{s}, s.harnesses, cfg.MaxCellsPerRequest, s.tracer, logger)
+	s.fe.HandleFunc("GET /metrics", s.handleMetrics)
+	s.fe.HandleFunc("GET /v1/figures", s.handleFigureList)
+	s.fe.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add(1)
-	s.mux.ServeHTTP(w, r)
-}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.fe.ServeHTTP(w, r) }
 
 // Close stops the scheduler after letting queued jobs drain, then drains
 // the disk tier's write-behind queue so every drained job's result is
@@ -285,15 +245,6 @@ func (s *Server) Metrics() Metrics { return s.snapshot() }
 // an embedding process — the cluster worker binary, tests — can inspect
 // retained spans without scraping its own HTTP surface.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
-// harness returns the memoized harness for an effort level. The harness's
-// own pool (used by figure studies) shares the server's worker budget.
-func (s *Server) harness(e Effort) *exp.Harness { return s.harnesses.Get(e) }
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
@@ -324,59 +275,43 @@ func (s *Server) handleFigureList(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(out)
 }
 
-// parseEffort reads the effort query parameters shared by the figure
-// endpoint: the legacy quick/repeat_cap/tile_cap trio plus the unified
-// mode/target_ci/intra_cell_workers knobs, folded through the same
-// mergeEffort path the JSON endpoints use so the two surfaces can never
-// diverge on validation or defaults.
-func parseEffort(r *http.Request) (Effort, error) {
-	var e Effort
+// parseEffort reads the figure endpoint's effort query parameters: the
+// effort object's fields (mode, target_ci, intra_cell_workers) and the
+// legacy quick/repeat_cap/tile_cap trio, folded by the same requestEffort
+// the JSON bodies use, so the two surfaces never diverge on validation or
+// defaults.
+func parseEffort(r *http.Request) (exp.Effort, error) {
 	q := r.URL.Query()
+	we := WireEffort{Mode: q.Get("mode")}
+	var quick bool
+	var repeatCap, tileCap int
 	if v := q.Get("quick"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			return e, fmt.Errorf("bad quick value %q", v)
+			return we, fmt.Errorf("bad quick value %q", v)
 		}
-		e.Quick = b
-	}
-	var we WireEffort
-	wireSet := false
-	if v := q.Get("mode"); v != "" {
-		we.Mode = v
-		wireSet = true
+		quick = b
 	}
 	if v := q.Get("target_ci"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return e, fmt.Errorf("bad target_ci value %q", v)
+			return we, fmt.Errorf("bad target_ci value %q", v)
 		}
 		we.TargetCI = f
-		wireSet = true
-	}
-	if v := q.Get("intra_cell_workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return e, fmt.Errorf("bad intra_cell_workers value %q", v)
-		}
-		we.IntraCellWorkers = n
-		wireSet = true
 	}
 	for _, p := range []struct {
 		name string
 		dst  *int
-	}{{"repeat_cap", &e.RepeatCap}, {"tile_cap", &e.TileCap}} {
+	}{{"intra_cell_workers", &we.IntraCellWorkers}, {"repeat_cap", &repeatCap}, {"tile_cap", &tileCap}} {
 		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return e, fmt.Errorf("bad %s value %q", p.name, v)
+				return we, fmt.Errorf("bad %s value %q", p.name, v)
 			}
 			*p.dst = n
 		}
 	}
-	if !wireSet {
-		return e, nil
-	}
-	return MergeEffort(&we, e.Quick, e.RepeatCap, e.TileCap)
+	return requestEffort(&we, quick, repeatCap, tileCap)
 }
 
 // handleFigure renders one figure. The response body is byte-identical to
@@ -397,13 +332,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
 		return
 	}
-	h := s.harness(e)
-	opts := h.Options()
-	key := figKey{
-		name: name, quick: e.Quick, repeat: opts.RepeatCap, tileCap: opts.TileCap,
-		sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
-		epoched: opts.Effort.Epoched(),
-	}
+	h := s.harnesses.Get(e)
+	key := figKey{name: name, effort: h.Options().Effort}
+	key.effort.IntraCellWorkers = min(key.effort.IntraCellWorkers, 1)
 	hash := maphash.Comparable(s.seed, key)
 	fl, err := s.figs.Resolve(r.Context(), key,
 		func(run func()) error { return s.sched.Submit(hash, run) },
@@ -416,7 +347,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			return buf.Bytes(), nil
 		})
 	if err != nil {
-		s.reject(w, traceID, err)
+		s.fe.reject(w, traceID, err)
 		return
 	}
 	setCacheHeader(w, fl.Hit)
@@ -456,15 +387,10 @@ type SweepRequest struct {
 	TileCap   int  `json:"tile_cap,omitempty"`
 
 	// Effort is the unified effort object. When set, its fields win over
-	// the legacy flat ones (see mergeEffort). A pointer so unset efforts
-	// marshal to nothing — pre-redesign payload bytes are unchanged.
+	// the legacy flat ones (see exp.Effort.WithLegacy). A pointer so unset
+	// efforts marshal to nothing — pre-redesign payload bytes are
+	// unchanged.
 	Effort *WireEffort `json:"effort,omitempty"`
-}
-
-// legacyEffortUsed reports whether the request selected effort through
-// the deprecated flat fields.
-func (r SweepRequest) legacyEffortUsed() bool {
-	return r.Quick || r.RepeatCap != 0 || r.TileCap != 0
 }
 
 // CellRow is one NDJSON row of a sweep response (and the whole /v1/sim
@@ -495,59 +421,20 @@ type SweepSummary struct {
 	Counters          counters.Bundle `json:"counters"`
 }
 
-func parseKinds(names []string) ([]core.Kind, error) {
+// parseAll maps every name through parse (nil for an empty axis).
+func parseAll[T any](names []string, parse func(string) (T, error)) ([]T, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	kinds := make([]core.Kind, len(names))
+	out := make([]T, len(names))
 	for i, n := range names {
-		switch n {
-		case "oracle":
-			kinds[i] = core.Oracle
-		case "iommu":
-			kinds[i] = core.IOMMU
-		case "neummu":
-			kinds[i] = core.NeuMMU
-		case "custom":
-			kinds[i] = core.Custom
-		default:
-			return nil, fmt.Errorf("unknown MMU kind %q (have oracle, iommu, neummu, custom)", n)
+		v, err := parse(n)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = v
 	}
-	return kinds, nil
-}
-
-func parsePageSizes(names []string) ([]vm.PageSize, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sizes := make([]vm.PageSize, len(names))
-	for i, n := range names {
-		switch n {
-		case "4KB", "4K", "4k":
-			sizes[i] = vm.Page4K
-		case "2MB", "2M", "2m":
-			sizes[i] = vm.Page2M
-		default:
-			return nil, fmt.Errorf("unknown page size %q (have 4KB, 2MB)", n)
-		}
-	}
-	return sizes, nil
-}
-
-// expand validates the request and turns it into its deterministic point
-// grid plus the harness that will run it.
-func (s *Server) expand(req SweepRequest) (*exp.Harness, []exp.Point, error) {
-	e, err := MergeEffort(req.Effort, req.Quick, req.RepeatCap, req.TileCap)
-	if err != nil {
-		return nil, nil, err
-	}
-	h := s.harness(e)
-	points, err := ExpandSweep(h, req, s.cfg.MaxCellsPerRequest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, points, nil
+	return out, nil
 }
 
 // cellTiming captures one cell's per-stage durations as it moves through
@@ -566,26 +453,26 @@ type cellTiming struct {
 	scheduled bool  // this request owned the compute (cache miss)
 }
 
-// resolveCells schedules every point through the cell cache, deduplicating
-// against cached, in-flight, and same-request work, and returns the
-// flights in grid order with one timing record per flight. hits counts
-// cells answered straight from cache. ctx is the requesting client's
-// context: a cell still queued when every client interested in it
-// disconnects is dropped at dequeue, never simulated (see Cache.Resolve).
-func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.Point) (flights []*Flight[cellValue], timings []*cellTiming, hits int, err error) {
-	opts := h.Options()
-	flights = make([]*Flight[cellValue], len(points))
-	timings = make([]*cellTiming, len(points))
-	for i, p := range points {
+// local is the Server's CellSource: the scheduler, the LRU cell cache,
+// the durable store and the simulator.
+type local struct{ *Server }
+
+// Resolve schedules every point through the cell cache, deduplicating
+// against cached, in-flight, and same-request work. ctx is the requesting
+// client's context: a cell still queued when every client interested in
+// it disconnects is dropped at dequeue, never simulated (see
+// Cache.Resolve).
+func (s local) Resolve(ctx context.Context, job Job) (Pending, error) {
+	h := job.Harness
+	eff := h.Options().Effort
+	fs := &flights{s: s.Server, job: job,
+		fls: make([]*Flight[cellValue], len(job.Points)), timings: make([]*cellTiming, len(job.Points))}
+	for i, p := range job.Points {
 		p := p
-		key := cellKey{
-			point: p, repeatCap: opts.RepeatCap, tileCap: opts.TileCap,
-			sampled: opts.Effort.Sampled(), targetCI: opts.Effort.TargetCI,
-			epoched: opts.Effort.Epoched(),
-		}
+		key := keyOf(p, eff)
 		hash := maphash.Comparable(s.seed, key)
 		ct := &cellTiming{start: time.Now()}
-		timings[i] = ct
+		fs.timings[i] = ct
 		fl, err := s.cells.Resolve(ctx, key,
 			func(run func()) error {
 				ct.scheduled = true
@@ -628,14 +515,41 @@ func (s *Server) resolveCells(ctx context.Context, h *exp.Harness, points []exp.
 			})
 		ct.cacheNS = int64(time.Since(ct.start))
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
 		if fl.Hit {
-			hits++
+			fs.hits++
 		}
-		flights[i] = fl
+		fs.fls[i] = fl
 	}
-	return flights, timings, hits, nil
+	return fs, nil
+}
+
+// flights is one request's cells on the local source: a cache flight and
+// a timing record per point.
+type flights struct {
+	s       *Server
+	job     Job
+	fls     []*Flight[cellValue]
+	timings []*cellTiming
+	hits    int
+}
+
+func (fs *flights) Hits() int { return fs.hits }
+
+func (fs *flights) Close() {}
+
+// Wait joins cell i's flight — which resolves even for a client that hung
+// up, so ctx is not consulted — and records its span.
+func (fs *flights) Wait(_ context.Context, i int) (CellLine, error) {
+	fl := fs.fls[i]
+	tw := time.Now()
+	v, err := fl.Wait()
+	fs.s.recordCellSpan(fs.job.TraceID, i, fs.job.Points[i], fl, fs.timings[i], int64(time.Since(tw)), v, err)
+	return CellLine{
+		Cycles: v.Cycles, Translations: v.Translations, Perf: v.Perf,
+		Counters: v.Counters, Sampled: v.Sampled, Hit: fl.Hit,
+	}, err
 }
 
 // recordCellSpan builds and records the trace span for one resolved cell.
@@ -672,184 +586,10 @@ func (s *Server) recordCellSpan(traceID string, i int, p exp.Point, fl *Flight[c
 	s.tracer.Record(sp)
 }
 
-// finishRequest records the request-level span (merge = response encoding
-// time; cells/hits summarize the grid) and emits the structured request
-// log line that replaces the serving tiers' ad-hoc stderr prints.
-func (s *Server) finishRequest(traceID string, r *http.Request, start time.Time, cells, hits int, mergeNS int64, reqErr error) {
-	total := int64(time.Since(start))
-	var st trace.Stages
-	st[trace.StageMerge] = mergeNS
-	sp := trace.Span{
-		TraceID: traceID, Kind: "request",
-		Name: r.Method + " " + r.URL.Path, Index: -1,
-		Start: start, TotalNS: total, Stages: st, Cells: cells,
-	}
-	attrs := []any{
-		"trace_id", traceID, "method", r.Method, "path", r.URL.Path,
-		"cells", cells, "hits", hits,
-		"ms", float64(total) / float64(time.Millisecond),
-	}
-	if reqErr != nil {
-		sp.Err = reqErr.Error()
-		attrs = append(attrs, "error", reqErr.Error())
-		s.tracer.Record(sp)
-		s.logger.Error("request failed", attrs...)
-		return
-	}
-	s.tracer.Record(sp)
-	s.logger.Info("request", attrs...)
-}
-
-// reject maps scheduler admission errors to a 429 envelope and anything
-// else to a 500 envelope.
-func (s *Server) reject(w http.ResponseWriter, traceID string, err error) {
-	if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed) {
-		s.metrics.overloads.Add(1)
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, ErrCodeOverloaded,
-			"server overloaded: job queue full", traceID)
-		return
-	}
-	WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
-}
-
 func setCacheHeader(w http.ResponseWriter, hit bool) {
 	if hit {
 		w.Header().Set("X-Neuserve-Cache", "hit")
 	} else {
 		w.Header().Set("X-Neuserve-Cache", "miss")
 	}
-}
-
-// DecodeSweepRequest strictly decodes a sweep/sim payload, answering a
-// 400 bad_request envelope itself on failure. Shared with the cluster
-// coordinator so both tiers reject malformed payloads identically.
-// traceID is the caller's already-resolved request trace ID (resolving
-// it here would mint a second one).
-func DecodeSweepRequest(w http.ResponseWriter, r *http.Request, req *SweepRequest, traceID string) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			"bad request body: "+err.Error(), traceID)
-		return false
-	}
-	return true
-}
-
-func rowFor(p exp.Point, v cellValue) CellRow {
-	return PointRow(p, v.Cycles, v.Translations, v.Perf, v.Counters, v.Sampled)
-}
-
-// handleSweep streams one NDJSON row per cell, in grid order, then a
-// summary line. Rows are written as their cells resolve in order, so a
-// client consumes early cells while later ones still simulate; the bytes
-// are identical whether every cell was a cache hit, a miss, or a mix.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	traceID := trace.FromRequest(r)
-	var req SweepRequest
-	if !DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	h, points, err := s.expand(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, len(points), 0, 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Neuserve-Cells", strconv.Itoa(len(points)))
-	w.Header().Set("X-Neuserve-Cache",
-		fmt.Sprintf("hits=%d misses=%d", hits, len(points)-hits))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sum := 0.0
-	var agg counters.Bundle
-	var mergeNS int64
-	for i, fl := range flights {
-		tw := time.Now()
-		v, err := fl.Wait()
-		waitNS := int64(time.Since(tw))
-		s.recordCellSpan(traceID, i, points[i], fl, timings[i], waitNS, v, err)
-		if err != nil {
-			// The stream is already committed; emit a terminal error line.
-			enc.Encode(map[string]string{"error": err.Error()})
-			s.finishRequest(traceID, r, start, len(points), hits, mergeNS, err)
-			return
-		}
-		sum += v.Perf
-		agg = agg.Add(v.Counters)
-		te := time.Now()
-		enc.Encode(rowFor(points[i], v))
-		if flusher != nil {
-			flusher.Flush()
-		}
-		mergeNS += int64(time.Since(te))
-	}
-	te := time.Now()
-	enc.Encode(SweepSummary{
-		Summary: true, Cells: len(points),
-		AvgNormalizedPerf: sum / float64(len(points)),
-		Counters:          agg,
-	})
-	mergeNS += int64(time.Since(te))
-	s.metrics.cellsServed.Add(int64(len(points)))
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
-	s.finishRequest(traceID, r, start, len(points), hits, mergeNS, nil)
-}
-
-// handleSim runs a single cell and returns one JSON object. It is the
-// one-point restriction of handleSweep, sharing its cache and scheduler.
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	traceID := trace.FromRequest(r)
-	var req SweepRequest
-	if !DecodeSweepRequest(w, r, &req, traceID) {
-		return
-	}
-	h, points, err := s.expand(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), traceID)
-		return
-	}
-	if len(points) != 1 {
-		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Sprintf("sim requires exactly one cell, got %d (use /v1/sweep for grids)",
-				len(points)), traceID)
-		return
-	}
-	flights, timings, hits, err := s.resolveCells(r.Context(), h, points)
-	if err != nil {
-		s.reject(w, traceID, err)
-		s.finishRequest(traceID, r, start, 1, 0, 0, err)
-		return
-	}
-	w.Header().Set(trace.Header, traceID)
-	MarkDeprecated(w.Header(), req.legacyEffortUsed(), req.Effort)
-	setCacheHeader(w, hits == 1)
-	tw := time.Now()
-	v, err := flights[0].Wait()
-	waitNS := int64(time.Since(tw))
-	s.recordCellSpan(traceID, 0, points[0], flights[0], timings[0], waitNS, v, err)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error(), traceID)
-		s.finishRequest(traceID, r, start, 1, hits, 0, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	te := time.Now()
-	enc.Encode(rowFor(points[0], v))
-	s.metrics.cellsServed.Add(1)
-	s.metrics.sweepLatency.Record(float64(time.Since(start)) / float64(time.Millisecond))
-	s.finishRequest(traceID, r, start, 1, hits, int64(time.Since(te)), nil)
 }

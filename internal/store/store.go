@@ -1,8 +1,9 @@
 // Package store is the durable tier behind the serving layer's
 // content-addressed result cache: one checksummed file per simulation
 // cell, so a process restart (or a whole-fleet deploy) costs a disk read
-// per cell instead of a re-simulation — the warm/cold gap recorded in
-// BENCH_cluster.json is exactly what this tier preserves.
+// per cell instead of a re-simulation — the warm/cold gap the benchmark's
+// fleet workloads measure (perfbench/README.md) is exactly what this tier
+// preserves.
 //
 // Design:
 //

@@ -7,10 +7,9 @@ import (
 
 // DefaultBuckets are the stage-latency histogram bounds in seconds:
 // roughly exponential from 100µs (a warm cache hit) to 60s (a straggling
-// full-effort cell), chosen so the ~940x warm/cold and ~449x disk-warm
-// gaps recorded in BENCH_cluster.json / BENCH_store.json land many
-// buckets apart and are visible as mass shifts, not as noise within one
-// bucket. Prometheus convention: each bound is an inclusive upper edge
+// full-effort cell), chosen so the warm/cold and disk-warm gaps the
+// benchmark measures (perfbench/README.md) land many buckets apart and
+// are visible as mass shifts, not as noise within one bucket. Prometheus convention: each bound is an inclusive upper edge
 // and an implicit +Inf bucket follows.
 var DefaultBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,

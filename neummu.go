@@ -180,22 +180,16 @@ func Simulate(model string, batch int, kind MMUKind, opts Options) (*Result, err
 	if kind == core.Oracle {
 		mcfg = core.Config{Kind: core.Oracle, PageSize: ps}
 	}
-	repeatCap, tileCap := opts.RepeatCap, opts.TileCap
-	if opts.Effort.RepeatCap != 0 {
-		repeatCap = opts.Effort.RepeatCap
-	}
-	if opts.Effort.TileCap != 0 {
-		tileCap = opts.Effort.TileCap
-	}
+	eff := opts.Effort.WithLegacy(false, opts.RepeatCap, opts.TileCap)
 	cfg := npu.Config{
 		MMU:              mcfg,
 		Memory:           memsys.Baseline(),
 		Compute:          systolic.Baseline(),
-		RepeatCap:        repeatCap,
-		TileCap:          tileCap,
-		IntraCellWorkers: opts.Effort.IntraCellWorkers,
-		Sampled:          opts.Effort.Sampled(),
-		SampleTargetCI:   opts.Effort.TargetCI,
+		RepeatCap:        eff.RepeatCap,
+		TileCap:          eff.TileCap,
+		IntraCellWorkers: eff.IntraCellWorkers,
+		Sampled:          eff.Sampled(),
+		SampleTargetCI:   eff.TargetCI,
 	}
 	if opts.SpatialNPU {
 		cfg.Compute = spatial.Baseline()
